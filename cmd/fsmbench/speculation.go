@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"dpfsm/internal/analysis"
+	"dpfsm/internal/core"
 	"dpfsm/internal/fsm"
 	"dpfsm/internal/speculative"
 	"dpfsm/internal/workload"
@@ -16,6 +17,16 @@ func permMachine(seed int64) *fsm.DFA {
 	rng := rand.New(rand.NewSource(seed))
 	sizes := map[int64]int{1: 8, 2: 32, 3: 128}
 	return fsm.RandomPermutation(rng, sizes[seed], 256, 0.3)
+}
+
+// specRunner is the §7 baseline: the executor's speculative back-end
+// over a Sequential runner fanning out to procs chunks.
+func specRunner(d *fsm.DFA, procs int, warmup []byte) (*speculative.Runner, error) {
+	r, err := core.New(d, core.WithStrategy(core.Sequential), core.WithProcs(procs))
+	if err != nil {
+		return nil, err
+	}
+	return speculative.New(r, warmup), nil
 }
 
 // speculation quantifies the §7 comparison: speculative chunk-start
@@ -35,7 +46,10 @@ func speculation(opt *options) {
 		hitBuckets := map[string]int{}
 		totalReRun := 0
 		for _, d := range sample {
-			r := speculative.New(d, procs, input[:4096])
+			r, err := specRunner(d, procs, input[:4096])
+			if err != nil {
+				continue
+			}
 			_, stats := r.Final(input, d.Start())
 			totalReRun += stats.ReRunBytes
 			hr := stats.HitRate()
@@ -66,7 +80,10 @@ func speculation(opt *options) {
 	}{{"perm-8", 1}, {"perm-32", 2}, {"perm-128", 3}}
 	for _, spec := range rngMachines {
 		d := permMachine(spec.seed)
-		r := speculative.New(d, 8, input[:4096])
+		r, err := specRunner(d, 8, input[:4096])
+		if err != nil {
+			continue
+		}
 		_, stats := r.Final(input, d.Start())
 		fmt.Printf("  %-10s hit rate %5.1f%%   re-run %5.1f%% of input\n",
 			spec.name, 100*stats.HitRate(),

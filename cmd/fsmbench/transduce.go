@@ -15,11 +15,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"dpfsm/internal/core"
-	"dpfsm/internal/fsm"
 	"dpfsm/internal/htmltok"
 	"dpfsm/internal/speculative"
 	"dpfsm/internal/telemetry"
@@ -89,7 +87,7 @@ func runTransduceBench(opt *options) (*sustainedReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec := speculative.New(tr.DFA(), opt.procs, input[:min(4096, len(input))])
+	spec := speculative.New(multi, input[:min(4096, len(input))])
 
 	lanes := []transduceLane{
 		{"single", func() ([]core.Span, error) {
@@ -101,22 +99,12 @@ func runTransduceBench(opt *options) (*sustainedReport, error) {
 			return spans, err
 		}},
 		{"speculative", func() ([]core.Span, error) {
-			// Phase 3 replay through the speculative fold: the callback
-			// fires exactly once per chunk with the verified start state,
-			// so the chunk-local spans stitch into the sequential list.
-			var mu sync.Mutex
-			var parts [][]core.Span
-			_, _, err := spec.RunChunkedCtx(context.Background(), input, start,
-				func(off int, chunk []byte, st fsm.State) fsm.State {
-					spans, q := core.ScanSpans(tr, off, chunk, st)
-					if len(spans) > 0 {
-						mu.Lock()
-						parts = append(parts, spans)
-						mu.Unlock()
-					}
-					return q
-				})
-			return core.StitchSpans(parts), err
+			// Replay through the speculative schedule: the collector
+			// sees each chunk only from its verified start state, so
+			// the chunk-local spans stitch into the sequential list.
+			c := core.NewSpanCollector(tr)
+			_, _, err := spec.RunChunkedCtx(context.Background(), input, start, c.Chunk)
+			return c.Spans(), err
 		}},
 	}
 

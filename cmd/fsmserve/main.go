@@ -74,6 +74,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -361,10 +362,9 @@ func (s *server) Close() {
 	}
 }
 
-// resolveMachine maps the ?machine= query (empty = default) to a
+// resolveMachine maps a ?machine= value (empty = default) to a
 // registered machine, or writes a 404.
-func (s *server) resolveMachine(w http.ResponseWriter, req *http.Request) (string, *engine.Machine, bool) {
-	name := req.URL.Query().Get("machine")
+func (s *server) resolveMachine(w http.ResponseWriter, name string) (string, *engine.Machine, bool) {
 	if name == "" {
 		s.mu.RLock()
 		if len(s.order) > 0 {
@@ -384,12 +384,36 @@ func (s *server) resolveMachine(w http.ResponseWriter, req *http.Request) (strin
 	return name, m, true
 }
 
+// parseJobQuery applies ?start= and ?strategy= to job, or writes a 400.
+// "auto" (or an absent strategy) keeps the machine's own adaptive
+// dispatch; any other strategy pins the job to it.
+func parseJobQuery(w http.ResponseWriter, q url.Values, m *engine.Machine, job *engine.Job) bool {
+	if qs := q.Get("start"); qs != "" {
+		var st int
+		if _, err := fmt.Sscanf(qs, "%d", &st); err != nil || st < 0 || !m.DFA().ValidState(fsm.State(st)) {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad start state %q", qs))
+			return false
+		}
+		job.Start, job.HasStart = fsm.State(st), true
+	}
+	if qs := q.Get("strategy"); qs != "" {
+		st, err := core.ParseStrategy(qs)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad strategy %q: %v", qs, err))
+			return false
+		}
+		job.Strategy = st
+	}
+	return true
+}
+
 func (s *server) handleRun(w http.ResponseWriter, req *http.Request) {
 	if req.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST an input body to /v1/run")
 		return
 	}
-	name, m, ok := s.resolveMachine(w, req)
+	q := req.URL.Query()
+	name, m, ok := s.resolveMachine(w, q.Get("machine"))
 	if !ok {
 		return
 	}
@@ -399,23 +423,8 @@ func (s *server) handleRun(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	job := engine.Job{Machine: name, Input: input}
-	if qs := req.URL.Query().Get("start"); qs != "" {
-		var q int
-		if _, err := fmt.Sscanf(qs, "%d", &q); err != nil || q < 0 || !m.DFA().ValidState(fsm.State(q)) {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad start state %q", qs))
-			return
-		}
-		job.Start, job.HasStart = fsm.State(q), true
-	}
-	// ?strategy= pins this run to an explicit strategy; "auto" (or
-	// absence) keeps the machine's own adaptive dispatch.
-	if qs := req.URL.Query().Get("strategy"); qs != "" {
-		st, err := core.ParseStrategy(qs)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad strategy %q: %v", qs, err))
-			return
-		}
-		job.Strategy = st
+	if !parseJobQuery(w, q, m, &job) {
+		return
 	}
 
 	// The request context rides down to the core chunk loops, so a
@@ -445,16 +454,22 @@ func (s *server) handleRun(w http.ResponseWriter, req *http.Request) {
 		// The inline explain block is opt-in (?trace=1); a request that
 		// was traced only because it carried a traceparent header gets
 		// the ID but keeps the wire result lean.
-		if req.URL.Query().Get("trace") != "" {
+		if q.Get("trace") != "" {
 			res.Explain = buildExplain(tr)
 		}
 	}
-	if req.URL.Query().Get("first") != "" {
+	if q.Get("first") != "" {
 		start := m.DFA().Start()
 		if job.HasStart {
 			start = job.Start
 		}
-		hit := m.Runner().FirstAccepting(input, start)
+		// The rescan is part of the request: it runs under the same
+		// context, so a disconnect or deadline stops it too.
+		hit, err := m.Runner().FirstAcceptingCtx(req.Context(), input, start)
+		if err != nil {
+			writeEngineError(w, err)
+			return
+		}
 		res.FirstMatch = &hit
 	}
 	writeJSON(w, res)

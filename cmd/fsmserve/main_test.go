@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -26,6 +27,33 @@ func testServer(t *testing.T) (*server, *httptest.Server) {
 	ts := httptest.NewServer(srv.mux())
 	t.Cleanup(ts.Close)
 	return srv, ts
+}
+
+// TestRunFirstMatchCanceledRequest pins that ?first=1 runs inside the
+// request: an already-canceled request gets the engine's cancellation
+// mapping (503 with an error code), never a first-match answer.
+func TestRunFirstMatchCanceledRequest(t *testing.T) {
+	srv, _ := testServer(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req := httptest.NewRequest(http.MethodPost, "/v1/run?machine=sqli&first=1",
+		strings.NewReader(strings.Repeat("id=1 UNION  SELECT x ", 1<<12))).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	srv.mux().ServeHTTP(rec, req)
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("status %d, want 503: %s", rec.Code, rec.Body)
+	}
+	var body struct {
+		Error      string `json:"error"`
+		Code       string `json:"code"`
+		FirstMatch *int   `json:"first_match"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if body.Code == "" || body.FirstMatch != nil {
+		t.Errorf("canceled request body %s", rec.Body)
+	}
 }
 
 func TestRunEndpoint(t *testing.T) {

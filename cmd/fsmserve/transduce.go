@@ -62,7 +62,8 @@ func (s *server) handleTransduce(w http.ResponseWriter, req *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST an input body to /v1/transduce")
 		return
 	}
-	name, m, ok := s.resolveMachine(w, req)
+	q := req.URL.Query()
+	name, m, ok := s.resolveMachine(w, q.Get("machine"))
 	if !ok {
 		return
 	}
@@ -77,21 +78,8 @@ func (s *server) handleTransduce(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	job := engine.Job{Machine: name, Input: input}
-	if qs := req.URL.Query().Get("start"); qs != "" {
-		var q int
-		if _, err := fmt.Sscanf(qs, "%d", &q); err != nil || q < 0 || !m.DFA().ValidState(fsm.State(q)) {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad start state %q", qs))
-			return
-		}
-		job.Start, job.HasStart = fsm.State(q), true
-	}
-	if qs := req.URL.Query().Get("strategy"); qs != "" {
-		st, err := core.ParseStrategy(qs)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad strategy %q: %v", qs, err))
-			return
-		}
-		job.Strategy = st
+	if !parseJobQuery(w, q, m, &job) {
+		return
 	}
 
 	// The request context rides down to the chunk loops, as on /v1/run.

@@ -1,15 +1,19 @@
 // clusterscan: the paper's concluding claim made concrete — the
-// enumerative decomposition running on a simulated MapReduce-style
-// cluster (message-passing worker nodes, machine shipped serialized,
-// one composition vector returned per chunk). Prints the wire-traffic
+// enumerative decomposition running across cluster nodes. Two loopback
+// HTTP peers serve the cluster protocol, the coordinator ships them
+// the serialized plan once and one input chunk per task, and each
+// returns one composition vector per chunk. Prints the wire-traffic
 // accounting that makes the approach cluster-friendly: result traffic
 // is per-chunk, not per-byte.
 package main
 
 import (
+	"context"
 	"fmt"
+	"net/http/httptest"
 
 	"dpfsm/internal/cluster"
+	"dpfsm/internal/core"
 	"dpfsm/internal/regex"
 	"dpfsm/internal/workload"
 )
@@ -19,25 +23,38 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	p, err := core.CompilePlan(d)
+	if err != nil {
+		panic(err)
+	}
 	traffic := workload.HTTPTraffic(21, 32<<20)
 	copy(traffic[20<<20:], []byte("q=1 UNION SELECT pass FROM users"))
 
-	fmt.Printf("machine: %v; input: %d MiB\n\n", d, len(traffic)>>20)
+	var peers []string
+	for i := 0; i < 2; i++ {
+		srv := httptest.NewServer(cluster.NewPeer(nil).Handler())
+		defer srv.Close()
+		peers = append(peers, srv.URL)
+	}
+
+	fmt.Printf("machine: %v; input: %d MiB; peers: %d loopback nodes\n\n", d, len(traffic)>>20, len(peers))
 	fmt.Printf("%-10s %-8s %-10s %-14s %-14s %-10s\n",
-		"chunk", "tasks", "match", "to-workers", "to-coord", "overhead")
+		"chunk", "tasks", "match", "to-peers", "to-coord", "overhead")
 
 	for _, chunkMB := range []int{1, 4, 16} {
-		c, err := cluster.New(d, cluster.SimConfig{Workers: 4, ChunkBytes: chunkMB << 20})
+		co, err := cluster.NewCoordinator(cluster.Config{Peers: peers, ChunkBytes: chunkMB << 20})
 		if err != nil {
 			panic(err)
 		}
-		matched, stats := c.Accepts(d, traffic)
-		c.Close()
+		final, stats, err := co.Exec(context.Background(), p, traffic, d.Start())
+		if err != nil {
+			panic(err)
+		}
 		fmt.Printf("%-10s %-8d %-10v %-14s %-14s %.4f%%\n",
-			fmt.Sprintf("%dMiB", chunkMB), stats.Tasks, matched,
-			fmt.Sprintf("%d B", stats.BytesToWorkers),
-			fmt.Sprintf("%d B", stats.BytesToCoordinator),
-			100*float64(stats.BytesToCoordinator)/float64(stats.BytesToWorkers))
+			fmt.Sprintf("%dMiB", chunkMB), stats.Chunks, d.Accepting(final),
+			fmt.Sprintf("%d B", stats.BytesToPeers),
+			fmt.Sprintf("%d B", stats.VectorBytes),
+			100*float64(stats.VectorBytes)/float64(stats.BytesToPeers))
 	}
 	fmt.Println("\nresult traffic is one composition vector per chunk — independent of chunk bytes,")
 	fmt.Println("which is why §3.4's decomposition suits clusters where communication dominates.")

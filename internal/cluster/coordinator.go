@@ -1,3 +1,16 @@
+// Package cluster executes the Figure 5 decomposition across cluster
+// nodes over HTTP, after the paper's concluding claim that the
+// approach "is suitable for any modern data parallel architecture … to
+// large clusters running MapReduce like frameworks". A Coordinator
+// ships input chunks to Peers, each of which bootstraps its own copy
+// of the compiled plan from the serialized form and returns the
+// chunk's composition vector; the reduce phase folds the vectors in
+// chunk order (associativity of ⊗ again). The wire-traffic profile is
+// the point the paper makes against naive designs: one n-entry vector
+// per *chunk*, independent of chunk length, so communication shrinks
+// relative to compute as chunks grow — "designed to minimize
+// communication when the number of processors is much smaller than the
+// amount of parallelism available" (§3.4).
 package cluster
 
 import (
@@ -274,7 +287,7 @@ func (c *Coordinator) Exec(ctx context.Context, p *core.Plan, input []byte, star
 		stats.Retries += ts.retries
 		if ts.remote {
 			stats.RemoteChunks++
-			stats.BytesToPeers += len(input[i*c.chunkBytes:min((i+1)*c.chunkBytes, len(input))])
+			stats.BytesToPeers += len(input[i*c.chunkBytes : min((i+1)*c.chunkBytes, len(input))])
 			stats.VectorBytes += 2 * p.States()
 		} else {
 			stats.LocalChunks++

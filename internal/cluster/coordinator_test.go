@@ -142,6 +142,74 @@ func TestCoordinatorMatchesOracle(t *testing.T) {
 	}
 }
 
+// The traffic accounting over the network: every input byte ships
+// once, and one n-state vector (2 bytes per state) returns per chunk,
+// across machine sizes and input lengths.
+func TestClusterMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(240))
+	tc := newTestCluster(t, 3, Config{ChunkBytes: 4096})
+	for iter := 0; iter < 10; iter++ {
+		d := fsm.RandomConverging(rng, 2+rng.Intn(60), 6, 6, 0.3)
+		p, err := core.CompilePlan(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := d.RandomInput(rng, 1+rng.Intn(100_000))
+		st := fsm.State(rng.Intn(d.NumStates()))
+		got, stats := tc.exec(p, in, st)
+		if want := d.Run(in, st); got != want {
+			t.Fatalf("iter %d: %d want %d", iter, got, want)
+		}
+		chunks := (len(in) + 4095) / 4096
+		if stats.BytesToPeers != len(in) || stats.VectorBytes != chunks*d.NumStates()*2 {
+			t.Fatalf("iter %d: shipped %d B and returned %d B, want %d and %d",
+				iter, stats.BytesToPeers, stats.VectorBytes, len(in), chunks*d.NumStates()*2)
+		}
+	}
+}
+
+// The §3.4 point: result traffic is per chunk, so bigger chunks return
+// less for the same input.
+func TestClusterCommunicationShrinksWithChunkSize(t *testing.T) {
+	rng := rand.New(rand.NewSource(241))
+	d := fsm.RandomConverging(rng, 30, 4, 5, 0.3)
+	p, err := core.CompilePlan(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := d.RandomInput(rng, 1<<20)
+	_, small := newTestCluster(t, 2, Config{ChunkBytes: 4 << 10}).exec(p, in, d.Start())
+	_, big := newTestCluster(t, 2, Config{ChunkBytes: 256 << 10}).exec(p, in, d.Start())
+	if small.VectorBytes/big.VectorBytes < 32 {
+		t.Errorf("64x chunk growth should shrink vector traffic ~64x: %d vs %d",
+			small.VectorBytes, big.VectorBytes)
+	}
+}
+
+// One coordinator serves every machine: jobs for different plans
+// interleave over the same peers, each exact.
+func TestClusterReusableAcrossJobs(t *testing.T) {
+	rng := rand.New(rand.NewSource(243))
+	tc := newTestCluster(t, 2, Config{ChunkBytes: 1024})
+	var plans []*core.Plan
+	for i := 0; i < 3; i++ {
+		p, err := core.CompilePlan(fsm.RandomConverging(rng, 5+10*i, 4, 5, 0.3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, p)
+	}
+	for job := 0; job < 6; job++ {
+		p := plans[job%len(plans)]
+		d := p.Machine()
+		in := d.RandomInput(rng, 20_000)
+		got, _ := tc.exec(p, in, d.Start())
+		if want := d.Run(in, d.Start()); got != want {
+			t.Fatalf("job %d: %d want %d", job, got, want)
+		}
+	}
+}
+
 // One injected fault of each kind, after warmup: the retry absorbs it —
 // right answer, no degradation, retry observable in stats + telemetry.
 func TestCoordinatorRetriesAbsorbInjectedFaults(t *testing.T) {

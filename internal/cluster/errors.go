@@ -7,9 +7,6 @@ import "errors"
 // with errors.Is; transport implementations wrap them with per-peer
 // context.
 var (
-	// ErrNoWorkers is returned by New when the simulated cluster is
-	// configured with no worker nodes.
-	ErrNoWorkers = errors.New("cluster: need at least one worker")
 	// ErrNoPeers is returned by NewCoordinator when the peer set is
 	// empty — a distributed coordinator with nobody to talk to.
 	ErrNoPeers = errors.New("cluster: need at least one peer")

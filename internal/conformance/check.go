@@ -28,7 +28,7 @@ type checker struct {
 	multis     map[core.Strategy]*core.Runner
 	reloads    map[core.Strategy]*core.Runner
 
-	// spec is the engine's speculative lane run directly; specBad is
+	// spec is the speculative back-end the engine lane runs; specBad is
 	// the same lane with a deliberately poisoned guess, so every input
 	// also exercises the forced-mispredict re-run path. Exactness must
 	// hold on both — mispredicts may only cost time, never answers.
@@ -82,14 +82,6 @@ func newChecker(d *fsm.DFA, label string, cfg Config) (*checker, *Divergence) {
 			engine.WithLargeInput(cfg.LargeInput),
 		)
 	}
-	c.spec = speculative.New(d, cfg.Procs, nil)
-	c.specBad = speculative.New(d, cfg.Procs, nil)
-	if d.NumStates() > 1 {
-		// Any fixed wrong-ish guess does: on most machines it forces
-		// mispredict cascades, and on all machines the answer must
-		// still match the oracle.
-		c.specBad.SetGuess(fsm.State((int(d.Start()) + 1) % d.NumStates()))
-	}
 	fail := func(s core.Strategy, err error) *Divergence {
 		c.Close()
 		return &Divergence{
@@ -97,6 +89,19 @@ func newChecker(d *fsm.DFA, label string, cfg Config) (*checker, *Divergence) {
 			Machine: d, MachineLabel: label,
 			Detail: err.Error(),
 		}
+	}
+	seq, err := core.New(d, core.WithStrategy(core.Sequential),
+		core.WithProcs(cfg.Procs), core.WithMinChunk(cfg.MinChunk))
+	if err != nil {
+		return nil, fail(core.Sequential, err)
+	}
+	c.spec = speculative.New(seq, nil)
+	c.specBad = speculative.New(seq, nil)
+	if d.NumStates() > 1 {
+		// Any fixed wrong-ish guess does: on most machines it forces
+		// mispredict cascades, and on all machines the answer must
+		// still match the oracle.
+		c.specBad.SetGuess(fsm.State((int(d.Start()) + 1) % d.NumStates()))
 	}
 	for _, s := range cfg.Strategies {
 		if rangeTooWide(d, s) {

@@ -29,7 +29,7 @@ func (r *Runner) noteBase(rs *runStats, gathers int) {
 func (r *Runner) baseVecBytes(input []byte, rs *runStats) []byte {
 	s := gather.Identity[byte](r.n)
 	for _, a := range input {
-		r.gatherB(s, s, r.colsB[a])
+		gather.Into(s, s, r.colsB[a])
 	}
 	r.noteBase(rs, len(input))
 	return s
@@ -58,13 +58,13 @@ func (r *Runner) baseILPVecBytes(input []byte, rs *runStats) []byte {
 	for ; i+3 <= len(input); i += 3 {
 		a, b, c := input[i], input[i+1], input[i+2]
 		// Independent pair: Sa = S ⊗ T[a] and Tbc = T[b] ⊗ T[c].
-		r.gatherB(s, s, r.colsB[a])
-		r.gatherB(tbc, r.colsB[b], r.colsB[c])
+		gather.Into(s, s, r.colsB[a])
+		gather.Into(tbc, r.colsB[b], r.colsB[c])
 		// S = Sa ⊗ Tbc.
-		r.gatherB(s, s, tbc)
+		gather.Into(s, s, tbc)
 	}
 	for ; i < len(input); i++ {
-		r.gatherB(s, s, r.colsB[input[i]])
+		gather.Into(s, s, r.colsB[input[i]])
 	}
 	// Each unrolled round issues 3 gathers for 3 symbols, and the tail
 	// one per symbol, so the gather count equals the input length.
@@ -95,7 +95,7 @@ func (r *Runner) baseILPVec16(input []byte, rs *runStats) []fsm.State {
 func (r *Runner) baseRunBytes(input []byte, off int, start fsm.State, phi fsm.Phi) fsm.State {
 	s := gather.Identity[byte](r.n)
 	for i, a := range input {
-		r.gatherB(s, s, r.colsB[a])
+		gather.Into(s, s, r.colsB[a])
 		phi(off+i, a, fsm.State(s[start]))
 	}
 	r.noteBase(nil, len(input))

@@ -93,7 +93,7 @@ func (r *Runner) convLoopBytes(input []byte, phi fsm.Phi, off int, start fsm.Sta
 	mBlocks := int64((m + gather.Width - 1) / gather.Width)
 	var lbuf, ubuf [256]byte // scratch for the inline Factor
 	for i, a := range input {
-		if phi == nil && !r.simd && m <= 8 {
+		if phi == nil && m <= 8 {
 			// The register tail advances m ≤ 8 lanes per symbol:
 			// ⌈m/W⌉ = 1 shuffle-row per remaining symbol.
 			shufBlocks += int64(len(input) - i)
@@ -150,14 +150,10 @@ func (r *Runner) convLoopBytes(input []byte, phi fsm.Phi, off int, start fsm.Sta
 			}
 			return acc, s[:m]
 		}
-		if r.simd {
-			gather.SIMDInto(s[:m], s[:m], r.colsB[a])
-		} else {
-			tab := r.colsB[a]
-			ss := s[:m]
-			for j, v := range ss {
-				ss[j] = tab[v]
-			}
+		tab := r.colsB[a]
+		ss := s[:m]
+		for j, v := range ss {
+			ss[j] = tab[v]
 		}
 		gathers++
 		shufBlocks += mBlocks
@@ -183,7 +179,7 @@ func (r *Runner) convLoopBytes(input []byte, phi fsm.Phi, off int, start fsm.Sta
 				lbuf[j] = byte(k)
 			}
 			if nu < m {
-				r.gatherB(acc, acc, lbuf[:m])
+				gather.Into(acc, acc, lbuf[:m])
 				copy(s, ubuf[:nu])
 				m = nu
 				fWins++

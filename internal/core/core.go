@@ -37,7 +37,6 @@ import (
 	"sync"
 
 	"dpfsm/internal/fsm"
-	"dpfsm/internal/gather"
 	"dpfsm/internal/telemetry"
 )
 
@@ -152,7 +151,6 @@ type config struct {
 	procs     int
 	convEvery int
 	minChunk  int
-	simd      bool
 	tel       *telemetry.Metrics
 	aux       *telemetry.Metrics
 }
@@ -197,19 +195,6 @@ func WithMinChunk(n int) Option {
 			c.minChunk = n
 		}
 	}
-}
-
-// WithEmulatedSIMD makes the byte-state kernels execute the blocked
-// shuffle/blend dataflow of §4.2 (gather.SIMDInto) instead of scalar
-// gather. On real SSE hardware the shuffle path is the fast one (the
-// paper's Figure 6 peak of 4.4×); a pure-Go emulation pays ~Width
-// scalar operations per 16-lane shuffle, so this is an ablation/
-// fidelity knob, not a speedup — see DESIGN.md's substitution notes.
-// In this port the scalar gather over the same byte-encoded compact
-// tables plays the vector role: it preserves the locality and
-// width-scaling structure the optimizations are about.
-func WithEmulatedSIMD(on bool) Option {
-	return func(c *config) { c.simd = on }
 }
 
 // WithTelemetry attaches a metrics sink. All Runners sharing m
@@ -273,13 +258,6 @@ type Runner struct {
 	aux          *telemetry.Metrics
 	auxStratRuns *telemetry.Counter
 
-	// simd selects the emulated shuffle/blend dataflow of §4.2 for
-	// byte-lane gathers (WithEmulatedSIMD); the default is the scalar
-	// kernel, which is the fast path in pure Go.
-	simd bool
-	// gatherB is the byte-lane gather kernel matching simd.
-	gatherB func(dst, s, t []byte)
-
 	// scratchPool recycles the per-run working vectors (scratch.go) so
 	// batch workloads — many small runs over one shared Runner — do
 	// not allocate enumerative state per job.
@@ -299,7 +277,7 @@ func New(d *fsm.DFA, opts ...Option) (*Runner, error) {
 }
 
 // NewFromPlan builds a Runner executing p. Run-time options (procs,
-// convergence cadence, SIMD emulation, telemetry) apply as in New;
+// convergence cadence, telemetry) apply as in New;
 // WithStrategy, if given, must match the plan's resolved strategy —
 // a plan *is* a strategy's compiled tables, so running it any other
 // way is a compile-time request, not a run-time one.
@@ -322,12 +300,6 @@ func NewFromPlan(p *Plan, opts ...Option) (*Runner, error) {
 		convEvery: cfg.convEvery,
 		minChunk:  cfg.minChunk,
 	}
-	r.simd = cfg.simd
-	if cfg.simd {
-		r.gatherB = gather.SIMDInto
-	} else {
-		r.gatherB = gather.Into[byte]
-	}
 	if r.procs < 1 {
 		r.procs = 1
 	}
@@ -349,7 +321,7 @@ func NewFromPlan(p *Plan, opts ...Option) (*Runner, error) {
 	return r, nil
 }
 
-// Plan returns the shared compiled artifact this runner executes.
+// PlanRef returns the shared compiled artifact this runner executes.
 func (r *Runner) PlanRef() *Plan { return r.Plan }
 
 // Telemetry returns the attached metrics sink (nil when disabled).
@@ -395,59 +367,6 @@ func (r *Runner) noteSingle(rs *runStats, gathers, shuffles, factorCalls, factor
 
 // Procs reports the configured multicore width.
 func (r *Runner) Procs() int { return r.procs }
-
-// Final returns the state reached from start after consuming input.
-func (r *Runner) Final(input []byte, start fsm.State) fsm.State {
-	r.noteEntry(len(input))
-	if r.strategy == Sequential {
-		return r.d.RunUnrolled(input, start)
-	}
-	if r.useMulticore(len(input)) {
-		return r.finalMulticore(input, start)
-	}
-	return r.finalSingle(input, start, nil)
-}
-
-// Accepts reports whether the machine accepts input from its start
-// state.
-func (r *Runner) Accepts(input []byte) bool {
-	return r.d.Accepting(r.Final(input, r.d.Start()))
-}
-
-// Run consumes input from start, invoking phi for every symbol with the
-// position, symbol, and reached state, and returns the final state.
-// When the Runner is multicore, chunks invoke phi concurrently and out
-// of order across chunks (the paper's Mealy assumption, §2.1); phi must
-// be safe for concurrent use in that case.
-func (r *Runner) Run(input []byte, start fsm.State, phi fsm.Phi) fsm.State {
-	if phi == nil {
-		return r.Final(input, start)
-	}
-	r.noteEntry(len(input))
-	if r.strategy == Sequential {
-		return r.d.RunMealy(input, start, phi)
-	}
-	if r.useMulticore(len(input)) {
-		return r.runMulticore(input, start, phi)
-	}
-	return r.runSingle(input, 0, start, phi)
-}
-
-// CompositionVector returns the composed transition function of the
-// whole input: element q is the state reached from start state q. This
-// is the quantity phase 1 of the multicore algorithm computes per
-// chunk.
-func (r *Runner) CompositionVector(input []byte) []fsm.State {
-	r.noteEntry(len(input))
-	if r.useMulticore(len(input)) {
-		return r.compVecMulticore(input)
-	}
-	return r.compVecSingle(input, nil)
-}
-
-func (r *Runner) useMulticore(inputLen int) bool {
-	return r.procs > 1 && inputLen >= 2*r.minChunk
-}
 
 // finalSingle computes the final state for one start without the
 // multicore machinery. rs, when non-nil, collects this pass's
@@ -508,6 +427,13 @@ func (r *Runner) compVecSingle(input []byte, rs *runStats) []fsm.State {
 // input[0].
 func (r *Runner) runSingle(input []byte, off int, start fsm.State, phi fsm.Phi) fsm.State {
 	switch r.strategy {
+	case Sequential:
+		if off == 0 {
+			return r.d.RunMealy(input, start, phi)
+		}
+		return r.d.RunMealy(input, start, func(pos int, sym byte, q fsm.State) {
+			phi(off+pos, sym, q)
+		})
 	case RangeCoalesced, RangeConvergence:
 		// φ needs a per-step state for one start entry; the plain
 		// coalesced loop provides it (convergence on the name vector

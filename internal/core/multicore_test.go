@@ -110,7 +110,7 @@ func TestSplitChunksCoverInput(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		chunks := r.splitChunks(n)
+		chunks := splitChunks(n, r.procs, r.minChunk)
 		if len(chunks) < 1 {
 			return false
 		}
@@ -128,18 +128,27 @@ func TestSplitChunksCoverInput(t *testing.T) {
 	}
 }
 
+// TestPhase2Propagation resolves a start state through hand-built
+// summaries of both back-ends: an enumerative vector maps every start,
+// a speculative entry only the guess it was walked from.
 func TestPhase2Propagation(t *testing.T) {
-	// Hand-built: two chunk vectors over 3 states.
-	vecs := [][]fsm.State{
-		{1, 2, 0},
-		{2, 2, 1},
+	sums := []summary{
+		{vec: []fsm.State{1, 2, 0}},
+		{from: 1, to: 2},
 	}
-	starts := phase2(vecs, 0)
-	if starts[0] != 0 {
-		t.Errorf("starts[0] = %d", starts[0])
+	st := fsm.State(0)
+	for p := range sums {
+		end, ok := sums[p].lookup(st)
+		if !ok {
+			t.Fatalf("chunk %d: miss on start %d", p, st)
+		}
+		st = end
 	}
-	if starts[1] != 1 { // vecs[0][0] = 1
-		t.Errorf("starts[1] = %d, want 1", starts[1])
+	if st != 2 { // vec[0] = 1, then the guess 1 holds and ends in 2
+		t.Errorf("resolved final %d, want 2", st)
+	}
+	if _, ok := sums[1].lookup(0); ok {
+		t.Error("speculative summary hit on a start it was not walked from")
 	}
 }
 

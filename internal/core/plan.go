@@ -281,7 +281,7 @@ func (p *Plan) TableBytes() int {
 		total += p.out.TableBytes()
 	}
 	if p.rc != nil {
-		total += p.rc.EntryCount() // t tables (bytes)
+		total += p.rc.EntryCount() // T tables (bytes)
 		for _, l := range p.rc.l {
 			total += len(l)
 		}
@@ -326,7 +326,7 @@ func (p *Plan) equivalent(q *Plan) bool {
 	}
 	if p.rc != nil {
 		for a := range p.rc.l {
-			if !bytes.Equal(p.rc.l[a], q.rc.l[a]) || !bytes.Equal(p.rc.tf[a], q.rc.tf[a]) {
+			if !bytes.Equal(p.rc.l[a], q.rc.l[a]) || !bytes.Equal(p.rc.fw[a].f, q.rc.fw[a].f) {
 				return false
 			}
 			if len(p.rc.u[a]) != len(q.rc.u[a]) {

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -274,5 +275,41 @@ func TestStrategyTextMarshaling(t *testing.T) {
 	}
 	if _, err := Strategy(99).MarshalText(); err == nil {
 		t.Fatal("MarshalText accepted an invalid strategy value")
+	}
+}
+
+// TestRangePlanAllocatesNearTableBytes bounds what compiling and
+// decoding a 256-symbol range plan allocate: at most 2.5× the plan's
+// TableBytes. The range tables keep one flat form; a per-(a, b) slice
+// header grid would add 256×256×24 B = 1.5 MiB on top.
+func TestRangePlanAllocatesNearTableBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(220))
+	d := fsm.RandomConverging(rng, 64, 256, 8, 0.2)
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var p *Plan
+	var err error
+	compiled := allocated(func() { p, err = CompilePlan(d, WithStrategy(RangeCoalesced)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := p.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := allocated(func() { _, err = UnmarshalPlan(data) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := uint64(p.TableBytes()) * 5 / 2
+	if compiled > limit || decoded > limit {
+		t.Errorf("CompilePlan allocated %d B, UnmarshalPlan %d B; limit 2.5 × TableBytes = %d B",
+			compiled, decoded, limit)
 	}
 }

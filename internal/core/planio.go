@@ -40,7 +40,10 @@ func (p *Plan) MarshalBinary() ([]byte, error) {
 		rc := &planwire.RC{
 			L: p.rc.l,
 			U: make([][]uint16, len(p.rc.u)),
-			T: p.rc.tf,
+			T: make([][]byte, len(p.rc.fw)),
+		}
+		for a, t := range p.rc.fw {
+			rc.T[a] = t.f
 		}
 		for a, u := range p.rc.u {
 			uw := make([]uint16, len(u))
@@ -160,8 +163,7 @@ func UnmarshalPlan(data []byte) (*Plan, error) {
 
 // rcFromWire reconstructs the live rcTables from the wire tables,
 // bounds-checking every entry against the machine's state count and
-// the per-symbol range sizes, and rebuilding the t/fw views that are
-// pure re-slicings of the flat tables.
+// the per-symbol range sizes. The flat tables are adopted, not copied.
 func rcFromWire(w *planwire.RC, n int, ranges []int) (*rcTables, error) {
 	k := len(ranges)
 	if len(w.L) != k || len(w.U) != k || len(w.T) != k {
@@ -170,9 +172,6 @@ func rcFromWire(w *planwire.RC, n int, ranges []int) (*rcTables, error) {
 	rc := &rcTables{
 		l:  w.L,
 		u:  make([][]fsm.State, k),
-		t:  make([][][]byte, k),
-		tf: w.T,
-		w:  make([]int, k),
 		fw: make([]rcFlat, k),
 	}
 	for a := 0; a < k; a++ {
@@ -202,21 +201,18 @@ func rcFromWire(w *planwire.RC, n int, ranges []int) (*rcTables, error) {
 	}
 	for a := 0; a < k; a++ {
 		wa := ranges[a]
-		rc.w[a] = wa
 		flat := w.T[a]
 		if len(flat) != k*wa {
 			return nil, fmt.Errorf("core: plan T[%d] has %d entries, want %d", a, len(flat), k*wa)
 		}
-		rc.t[a] = make([][]byte, k)
+		rc.fw[a] = rcFlat{f: flat, w: wa}
 		for b := 0; b < k; b++ {
-			tab := flat[b*wa : (b+1)*wa : (b+1)*wa]
+			tab := rc.fw[a].row(byte(b))
 			if m := maxByte(tab); int(m) >= ranges[b] {
 				i := firstAtLeast8(tab, byte(ranges[b]))
 				return nil, fmt.Errorf("core: plan T[%d][%d][%d] = name %d out of range [0, %d)", a, b, i, tab[i], ranges[b])
 			}
-			rc.t[a][b] = tab
 		}
-		rc.fw[a] = rcFlat{f: flat, w: wa}
 	}
 	return rc, nil
 }

@@ -30,15 +30,10 @@ type rcTables struct {
 	l [][]byte
 	// u[a] maps names of a back to states: u[a][name] = state.
 	u [][]fsm.State
-	// t[a][b] has length |u[a]|: t[a][b][i] = l[b][u[a][i]], the name
-	// of b reached from name i of a on reading b.
-	t [][][]byte
-	// tf[a] is t[a] flattened with stride w[a] (tf[a][int(b)*w[a]+i] =
-	// t[a][b][i]) so the hot loop does one slice index per symbol.
-	tf [][]byte
-	w  []int
-	// fw fuses tf and w so the hot loop touches one cache line for
-	// both.
+	// fw[a] is T_a flattened with stride |u[a]|: fw[a].f[int(b)*w+i]
+	// = l[b][u[a][i]], the name of b reached from name i of a on
+	// reading b. Table and width share one struct so the hot loop
+	// touches one cache line for both.
 	fw []rcFlat
 }
 
@@ -47,14 +42,19 @@ type rcFlat struct {
 	w int
 }
 
+// row returns T_a[b], the names of b reached from each name of a.
+func (t *rcFlat) row(b byte) []byte {
+	return t.f[int(b)*t.w : (int(b)+1)*t.w]
+}
+
 // buildRCTables precomputes the range-coalesced tables. Requires
 // max range ≤ 256 (checked by New).
 func buildRCTables(d *fsm.DFA, ranges []int) *rcTables {
 	k := d.NumSymbols()
 	rc := &rcTables{
-		l: make([][]byte, k),
-		u: make([][]fsm.State, k),
-		t: make([][][]byte, k),
+		l:  make([][]byte, k),
+		u:  make([][]fsm.State, k),
+		fw: make([]rcFlat, k),
 	}
 	for a := 0; a < k; a++ {
 		l16, u := gather.Factor(d.Column(byte(a)))
@@ -65,24 +65,17 @@ func buildRCTables(d *fsm.DFA, ranges []int) *rcTables {
 		rc.l[a] = lb
 		rc.u[a] = u
 	}
-	rc.tf = make([][]byte, k)
-	rc.w = make([]int, k)
-	rc.fw = make([]rcFlat, k)
 	for a := 0; a < k; a++ {
-		rc.t[a] = make([][]byte, k)
 		ua := rc.u[a]
 		w := len(ua)
-		rc.w[a] = w
 		flat := make([]byte, k*w)
 		for b := 0; b < k; b++ {
 			lb := rc.l[b]
-			tab := flat[b*w : (b+1)*w : (b+1)*w]
+			tab := flat[b*w : (b+1)*w]
 			for i, q := range ua {
 				tab[i] = lb[q]
 			}
-			rc.t[a][b] = tab
 		}
-		rc.tf[a] = flat
 		rc.fw[a] = rcFlat{f: flat, w: w}
 	}
 	return rc
@@ -92,10 +85,8 @@ func buildRCTables(d *fsm.DFA, ranges []int) *rcTables {
 // memory accounting (e·k entries versus the original n·k).
 func (rc *rcTables) EntryCount() int {
 	total := 0
-	for _, ta := range rc.t {
-		for _, tab := range ta {
-			total += len(tab)
-		}
+	for _, t := range rc.fw {
+		total += len(t.f)
 	}
 	return total
 }
@@ -135,7 +126,7 @@ func (r *Runner) rcLoop(input []byte, phi fsm.Phi, off int, start fsm.State, sc 
 		name0 = r.rc.l[a0][start]
 		phi(off, a0, r.rc.u[a0][name0])
 	}
-	if phi == nil && !r.simd {
+	if phi == nil {
 		// Hot paths: the name vector has fixed width |range(a0)|, so
 		// small widths run with lanes held in registers — independent
 		// loads per symbol with no stores or loop control, the scalar
@@ -209,11 +200,7 @@ func (r *Runner) rcLoop(input []byte, phi fsm.Phi, off int, start fsm.State, sc 
 	}
 	for i := 1; i < len(input); i++ {
 		b := input[i]
-		if r.simd {
-			gather.SIMDInto(c, c, r.rc.t[cur][b])
-		} else {
-			gather.Into(c, c, r.rc.t[cur][b])
-		}
+		gather.Into(c, c, r.rc.fw[cur].row(b))
 		cur = b
 		if phi != nil {
 			phi(off+i, b, r.rc.u[cur][c[name0]])
@@ -252,7 +239,7 @@ func (r *Runner) rcLoopConv(input []byte, sc *scratch, rs *runStats) (a0 byte, a
 	var lbuf, ubuf [256]byte
 	for i := 1; i < len(input); i++ {
 		b := input[i]
-		if m <= 8 && !r.simd {
+		if m <= 8 {
 			if track {
 				// Register-regime tail: ⌈m/W⌉ = 1 output row per
 				// symbol times the width blocks of each step's table.

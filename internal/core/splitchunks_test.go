@@ -34,7 +34,7 @@ func TestSplitChunksTable(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := &Runner{procs: tc.procs, minChunk: tc.minChunk}
-			chunks := r.splitChunks(tc.n)
+			chunks := splitChunks(tc.n, r.procs, r.minChunk)
 			if len(chunks) == 0 {
 				t.Fatal("no chunks")
 			}
@@ -79,7 +79,7 @@ func TestSplitChunksRandomized(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		n := rng.Intn(1 << 14)
 		r := &Runner{procs: 1 + rng.Intn(32), minChunk: rng.Intn(512)}
-		chunks := r.splitChunks(n)
+		chunks := splitChunks(n, r.procs, r.minChunk)
 		if len(chunks) == 0 {
 			t.Fatalf("n=%d procs=%d minChunk=%d: no chunks", n, r.procs, r.minChunk)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -150,6 +151,45 @@ func TestTelemetryMulticorePhases(t *testing.T) {
 	}
 }
 
+// TestTelemetryCtxPhasesMatchPlain pins that a multicore FinalCtx under
+// a cancellable context records the same phase accounting as plain
+// Final: one Phase1Time sample per chunk, one Phase2Time sample, one
+// Phase3Skip.
+func TestTelemetryCtxPhasesMatchPlain(t *testing.T) {
+	rng := rand.New(rand.NewSource(507))
+	d := fsm.RandomConverging(rng, 40, 6, 5, 0.3)
+	input := d.RandomInput(rng, 400_000)
+	phases := func(run func(r *Runner) fsm.State) telemetry.Snapshot {
+		var m telemetry.Metrics
+		r := newRunner(t, d, Convergence, WithTelemetry(&m), WithProcs(4), WithMinChunk(1<<12))
+		if got, want := run(r), d.Run(input, d.Start()); got != want {
+			t.Fatalf("final %d, want %d", got, want)
+		}
+		return m.Snapshot()
+	}
+	plain := phases(func(r *Runner) fsm.State { return r.Final(input, d.Start()) })
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	withCtx := phases(func(r *Runner) fsm.State {
+		q, err := r.FinalCtx(ctx, input, d.Start())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	})
+	for _, s := range []telemetry.Snapshot{plain, withCtx} {
+		if s.Phase1.Count != 4 || s.Phase2.Count != 1 || s.Phase3Skips != 1 {
+			t.Errorf("phase1 %d, phase2 %d, phase3 skips %d; want 4, 1, 1",
+				s.Phase1.Count, s.Phase2.Count, s.Phase3Skips)
+		}
+	}
+	if plain.Phase1.Count != withCtx.Phase1.Count || plain.Phase2.Count != withCtx.Phase2.Count ||
+		plain.Phase3Skips != withCtx.Phase3Skips {
+		t.Errorf("ctx phases %+v/%+v/%d, plain %+v/%+v/%d", withCtx.Phase1, withCtx.Phase2, withCtx.Phase3Skips,
+			plain.Phase1, plain.Phase2, plain.Phase3Skips)
+	}
+}
+
 func TestTelemetryStreamCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(503))
 	d := fsm.RandomConverging(rng, 30, 4, 5, 0.3)
@@ -209,7 +249,7 @@ func TestSplitChunksMinChunkGuard(t *testing.T) {
 	// ...and splitChunks must guard even a directly corrupted field.
 	r.minChunk = 0
 	for _, n := range []int{1, 3, 8, 1000} {
-		chunks := r.splitChunks(n) // would panic before the guard
+		chunks := splitChunks(n, r.procs, r.minChunk) // would panic before the guard
 		if len(chunks) == 0 {
 			t.Fatalf("n=%d: no chunks", n)
 		}

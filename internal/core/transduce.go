@@ -31,8 +31,8 @@ type Span struct {
 	Out   fsm.Output `json:"out"`
 }
 
-// errNotTransducer is the shared failure for transduce calls on
-// acceptor plans.
+// transducer returns the plan's output table, or the shared failure
+// of transduce calls on acceptor plans.
 func (r *Runner) transducer() (*fsm.Transducer, error) {
 	if r.out == nil {
 		return nil, fmt.Errorf("core: plan %s is an acceptor (no output table); compile with CompileTransducer", r.fingerprint)
@@ -50,9 +50,8 @@ func (r *Runner) TransduceOutputs(input []byte, start fsm.State) ([]fsm.Output, 
 	if err != nil {
 		return nil, 0, err
 	}
-	r.noteEntry(len(input))
 	tape := make([]fsm.Output, len(input))
-	final := r.runChunked(input, start, func(off int, chunk []byte, st fsm.State) fsm.State {
+	final := r.RunChunked(input, start, func(off int, chunk []byte, st fsm.State) fsm.State {
 		q := st
 		dst := tape[off : off+len(chunk)]
 		for i, b := range chunk {
@@ -66,42 +65,41 @@ func (r *Runner) TransduceOutputs(input []byte, start fsm.State) ([]fsm.Output, 
 
 // TransduceSpans runs the transducer over input from start and returns
 // the output tape folded into maximal spans of equal non-OutputNone
-// outputs, in input order, plus the final state. Chunk-local spans are
-// collected concurrently and stitched at chunk boundaries: a span
-// ending exactly where the next begins with the same output is one
-// span that the chunking split, so the halves are glued back. The
-// result is therefore independent of chunk count — the sequential
-// tape's spans, exactly.
+// outputs, in input order, plus the final state. The result is
+// independent of chunk count — the sequential tape's spans, exactly
+// (see SpanCollector).
 func (r *Runner) TransduceSpans(input []byte, start fsm.State) ([]Span, fsm.State, error) {
 	t, err := r.transducer()
 	if err != nil {
 		return nil, 0, err
 	}
-	r.noteEntry(len(input))
-	var (
-		mu    sync.Mutex
-		parts [][]Span
-	)
-	final := r.runChunked(input, start, func(off int, chunk []byte, st fsm.State) fsm.State {
-		spans, q := ScanSpans(t, off, chunk, st)
-		if len(spans) > 0 {
-			mu.Lock()
-			parts = append(parts, spans)
-			mu.Unlock()
-		}
-		return q
-	})
-	return StitchSpans(parts), final, nil
+	c := NewSpanCollector(t)
+	final := r.RunChunked(input, start, c.Chunk)
+	return c.Spans(), final, nil
 }
 
-// ScanSpans is the scalar per-chunk replay: it advances the machine
-// over chunk from st, folding the emitted outputs into maximal runs on
-// the fly (no intermediate tape), and returns the chunk-local spans in
-// global coordinates plus the state after the chunk. Exported for
-// phase-3 callbacks outside this package (the engine's speculative
-// transduce lane replays chunks through it); pair with StitchSpans.
-func ScanSpans(t *fsm.Transducer, off int, chunk []byte, st fsm.State) ([]Span, fsm.State) {
+// SpanCollector is the span-scanning replay of a transducer: its Chunk
+// method is a ChunkFunc that advances the machine over one chunk,
+// folding the emitted outputs into maximal runs on the fly (no
+// intermediate tape), and Spans stitches the chunk-local lists. Chunk
+// is safe for concurrent calls on distinct chunks, so any executor
+// lane — multicore, or speculative after verification — can drive it.
+type SpanCollector struct {
+	t     *fsm.Transducer
+	mu    sync.Mutex
+	parts [][]Span
+}
+
+// NewSpanCollector returns an empty collector over t.
+func NewSpanCollector(t *fsm.Transducer) *SpanCollector {
+	return &SpanCollector{t: t}
+}
+
+// Chunk scans chunk from st, recording its spans in global
+// coordinates, and returns the state after the chunk.
+func (c *SpanCollector) Chunk(off int, chunk []byte, st fsm.State) fsm.State {
 	var spans []Span
+	t := c.t
 	d := t.DFA()
 	q := st
 	cur := fsm.OutputNone
@@ -120,15 +118,21 @@ func ScanSpans(t *fsm.Transducer, off int, chunk []byte, st fsm.State) ([]Span, 
 	if cur != fsm.OutputNone {
 		spans = append(spans, Span{Start: off + curStart, End: off + len(chunk), Out: cur})
 	}
-	return spans, q
+	if len(spans) > 0 {
+		c.mu.Lock()
+		c.parts = append(c.parts, spans)
+		c.mu.Unlock()
+	}
+	return q
 }
 
-// StitchSpans orders the concurrently collected chunk-local span lists
-// and glues runs that a chunk boundary split: the previous span ends
-// exactly where the next starts and both carry the same output.
-// Within a part spans are already ordered and maximal, so ordering
-// parts by their first span's start is enough.
-func StitchSpans(parts [][]Span) []Span {
+// Spans orders the collected chunk-local span lists and glues runs
+// that a chunk boundary split: the previous span ends exactly where
+// the next starts and both carry the same output. Within a part spans
+// are already ordered and maximal, so ordering parts by their first
+// span's start is enough.
+func (c *SpanCollector) Spans() []Span {
+	parts := c.parts
 	if len(parts) == 0 {
 		return nil
 	}

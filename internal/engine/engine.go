@@ -190,8 +190,9 @@ func WithClusterMinBytes(n int) Option {
 // compiled plan plus the runners the dispatch policy chooses between.
 // The single and multicore runners execute the same *core.Plan — the
 // tables are derived once (or fetched from the plan cache), never per
-// lane; the speculative lane runs the raw DFA (its per-chunk work is
-// the plain sequential walk, §7).
+// lane; the speculative lane runs the multicore runner with the
+// speculative back-end (its per-chunk work is the plain sequential
+// walk, §7).
 type Machine struct {
 	name   string
 	eng    *Engine
@@ -310,29 +311,44 @@ func (m *Machine) adaptiveInputs() adaptive.Inputs {
 	return in
 }
 
-// altRunner returns (building lazily on first use) the single-core
-// runner for an explicit per-job strategy override. The override's
-// plan goes through the engine's plan cache, so repeated overrides of
-// the same machine+strategy compile once.
-func (m *Machine) altRunner(s core.Strategy) (*core.Runner, error) {
+// altRunner returns the lazily compiled single-core runner for a
+// per-job strategy override. A transduce override plan must carry the
+// output table, so it compiles through GetOrCompileTransducer (keyed
+// over λ) rather than GetOrCompile.
+func (m *Machine) altRunner(s core.Strategy, transduce bool) (*core.Runner, error) {
 	m.altMu.Lock()
 	defer m.altMu.Unlock()
-	if r, ok := m.alt[s]; ok {
+	cache := &m.alt
+	if transduce {
+		cache = &m.altTrans
+	}
+	if r, ok := (*cache)[s]; ok {
 		return r, nil
 	}
-	p, _, err := m.eng.planCache.GetOrCompile(m.dfa, append(m.opts, core.WithStrategy(s))...)
+	opts := append(m.opts[:len(m.opts):len(m.opts)], core.WithStrategy(s))
+	var p *core.Plan
+	var err error
+	if transduce {
+		t := m.Transducer()
+		if t == nil {
+			return nil, ErrNotTransducer
+		}
+		p, _, err = m.eng.planCache.GetOrCompileTransducer(t, opts...)
+	} else {
+		p, _, err = m.eng.planCache.GetOrCompile(m.dfa, opts...)
+	}
 	if err != nil {
 		return nil, err
 	}
-	r, err := core.NewFromPlan(p, append(m.opts, core.WithStrategy(s),
+	r, err := core.NewFromPlan(p, append(opts,
 		core.WithProcs(1), core.WithTelemetry(m.eng.tel), core.WithAuxTelemetry(m.rec.Telemetry()))...)
 	if err != nil {
 		return nil, err
 	}
-	if m.alt == nil {
-		m.alt = make(map[core.Strategy]*core.Runner, 2)
+	if *cache == nil {
+		*cache = make(map[core.Strategy]*core.Runner, 2)
 	}
-	m.alt[s] = r
+	(*cache)[s] = r
 	return r, nil
 }
 
@@ -359,15 +375,15 @@ type Job struct {
 // dispatch decision the job actually ran under; Multicore is kept as
 // the legacy boolean view of Lane.
 type Result struct {
-	Index     int           `json:"index"`
-	Machine   string        `json:"machine"`
-	Final     fsm.State     `json:"final_state"`
-	Accepts   bool          `json:"accepts"`
-	Bytes     int           `json:"bytes"`
-	Multicore bool          `json:"multicore"`
-	Lane      string        `json:"lane,omitempty"`
-	Strategy  string        `json:"strategy,omitempty"`
-	Reason    string        `json:"reason,omitempty"`
+	Index     int       `json:"index"`
+	Machine   string    `json:"machine"`
+	Final     fsm.State `json:"final_state"`
+	Accepts   bool      `json:"accepts"`
+	Bytes     int       `json:"bytes"`
+	Multicore bool      `json:"multicore"`
+	Lane      string    `json:"lane,omitempty"`
+	Strategy  string    `json:"strategy,omitempty"`
+	Reason    string    `json:"reason,omitempty"`
 	// Degraded is set by the cluster lane when one or more chunks fell
 	// back to local execution (peer down, breaker open, retries
 	// exhausted). The answer is still exact; the job just did not get
@@ -624,13 +640,10 @@ func (e *Engine) registerPlan(name string, d *fsm.DFA, p *core.Plan, hit bool, o
 	m := &Machine{name: name, eng: e, dfa: d, plan: p, single: single, multi: multi,
 		planHit: hit, rec: rec, opts: opts[:len(opts):len(opts)]}
 	if e.procs > 1 {
-		// The speculative lane fans out like the multicore one; its
-		// chunk floor keeps fan-out worthwhile for exactly the inputs
-		// the dispatch policy sends it (>= largeInput).
-		m.spec = speculative.New(d, e.procs, nil)
-		if minChunk := e.largeInput / (2 * e.procs); minChunk > 1 {
-			m.spec.SetMinChunk(minChunk)
-		}
+		// The speculative lane is the multicore runner's executor with
+		// the speculative back-end: it splits like the multicore lane
+		// and its runs count in the same telemetry.
+		m.spec = speculative.New(multi, nil)
 		if st, ok := rec.HotState(); ok && d.ValidState(fsm.State(st)) {
 			// A persisted baseline already knows the dominant final
 			// state: seed the guess before the first job.
@@ -999,9 +1012,37 @@ func (e *Engine) execWait(ctx context.Context, idx int, job Job, queueWait time.
 		}
 		start = job.Start
 	}
+	lr := e.run(ctx, sp, tr, m, job, start, nil)
+	res.Lane, res.Strategy, res.Reason = lr.lane, lr.strategy, lr.reason
+	res.Multicore, res.Degraded, res.Duration = lr.multicore, lr.degraded, lr.duration
+	if res.Err = lr.err; res.Err == nil {
+		res.Final, res.Accepts = lr.final, m.dfa.Accepting(lr.final)
+	}
+	return res
+}
+
+// laneRun is one dispatch's record, shared by Result and
+// TransduceResult.
+type laneRun struct {
+	final                  fsm.State
+	lane, strategy, reason string
+	multicore, degraded    bool
+	duration               time.Duration
+	err                    error
+}
+
+// run dispatches one job whose machine and start state are settled:
+// it applies the job's timeout, picks the lane, takes the fan-out gate
+// for the parallel lanes, and executes. f nil asks for the final
+// state; otherwise every chunk replays through f from its resolved
+// start (transduction), which the cluster lane does not serve. The
+// speculative lane's statistics flush into the machine's profile, the
+// telemetry sink and sp here; on success the machine's final-state
+// profile and selection clock advance.
+func (e *Engine) run(ctx context.Context, sp *trace.Span, tr *trace.Trace, m *Machine, job Job, start fsm.State, f core.ChunkFunc) (lr laneRun) {
 	if err := ctx.Err(); err != nil {
-		res.Err = err
-		return res
+		lr.err = err
+		return lr
 	}
 	if job.Timeout > 0 {
 		var cancel context.CancelFunc
@@ -1013,47 +1054,47 @@ func (e *Engine) execWait(ctx context.Context, idx int, job Job, queueWait time.
 	//
 	//   1. an explicit per-job strategy override pins the job to the
 	//      single-core lane under that strategy;
-	//   2. with a coordinator attached, inputs of at least the cluster
-	//      threshold fan out over the peer set (the networked §3.4
-	//      decomposition);
+	//   2. with a coordinator attached, acceptor inputs of at least the
+	//      cluster threshold fan out over the peer set (the networked
+	//      §3.4 decomposition);
 	//   3. small inputs always run single-core (fan-out overhead
 	//      dominates below the threshold);
 	//   4. large inputs take the lane the adaptive selector holds —
 	//      or, without a profile store, the historical static
 	//      heuristic (multicore whenever it exists).
 	r := m.single
-	res.Lane = LaneSingle
-	res.Strategy = m.plan.Strategy().String()
-	reason := fmt.Sprintf("input %d B < large-input threshold %d B", len(job.Input), e.largeInput)
+	lr.lane = LaneSingle
+	lr.strategy = m.plan.Strategy().String()
+	lr.reason = fmt.Sprintf("input %d B < large-input threshold %d B", len(job.Input), e.largeInput)
 
 	co := e.clusterCo.Load()
 	if job.Strategy != core.Auto && job.Strategy != m.plan.Strategy() {
-		alt, err := m.altRunner(job.Strategy)
+		alt, err := m.altRunner(job.Strategy, f != nil)
 		if err != nil {
-			res.Err = fmt.Errorf("engine: machine %q: strategy override %v: %w", name, job.Strategy, err)
-			return res
+			lr.err = fmt.Errorf("engine: machine %q: strategy override %v: %w", m.name, job.Strategy, err)
+			return lr
 		}
 		r = alt
-		res.Strategy = job.Strategy.String()
-		reason = fmt.Sprintf("explicit strategy override (%v); single-core lane", job.Strategy)
-	} else if co != nil && len(job.Input) >= e.ClusterMinBytes() {
-		res.Lane = LaneCluster
-		reason = fmt.Sprintf("input %d B >= cluster threshold %d B; fanning out over %d peers",
+		lr.strategy = job.Strategy.String()
+		lr.reason = fmt.Sprintf("explicit strategy override (%v); single-core lane", job.Strategy)
+	} else if co != nil && f == nil && len(job.Input) >= e.ClusterMinBytes() {
+		lr.lane = LaneCluster
+		lr.reason = fmt.Sprintf("input %d B >= cluster threshold %d B; fanning out over %d peers",
 			len(job.Input), e.ClusterMinBytes(), len(co.Peers()))
 	} else if len(job.Input) >= e.largeInput && e.procs > 1 {
 		if m.sel != nil {
-			res.Lane, reason = m.sel.LaneFor()
+			lr.lane, lr.reason = m.sel.LaneFor()
 		} else if m.multi != nil {
-			res.Lane = LaneMulticore
-			reason = fmt.Sprintf("input %d B >= large-input threshold %d B", len(job.Input), e.largeInput)
+			lr.lane = LaneMulticore
+			lr.reason = fmt.Sprintf("input %d B >= large-input threshold %d B", len(job.Input), e.largeInput)
 		}
 	} else if m.multi == nil {
-		reason = "multicore lane disabled (procs=1)"
+		lr.reason = "multicore lane disabled (procs=1)"
 	}
 
 	// Parallel lanes fan out procs goroutines, so both acquire a
 	// fan-out slot: at most workers/procs such jobs run at once.
-	switch res.Lane {
+	switch lr.lane {
 	case LaneMulticore, LaneSpeculative:
 		var gsp *trace.Span
 		if sp != nil {
@@ -1065,20 +1106,19 @@ func (e *Engine) execWait(ctx context.Context, idx int, job Job, queueWait time.
 			defer func() { <-e.multiGate }()
 		case <-ctx.Done():
 			gsp.End()
-			res.Err = ctx.Err()
-			return res
+			lr.err = ctx.Err()
+			return lr
 		}
-		if res.Lane == LaneMulticore {
+		if lr.lane == LaneMulticore {
 			r = m.multi
-			res.Multicore = true
+			lr.multicore = true
 		}
 	}
-	res.Reason = reason
 	if sp != nil {
 		sp.SetAttrs(
-			trace.Str(AttrLane, res.Lane),
-			trace.Str(AttrLaneReason, reason),
-			trace.Str(AttrStrategy, res.Strategy),
+			trace.Str(AttrLane, lr.lane),
+			trace.Str(AttrLaneReason, lr.reason),
+			trace.Str(AttrStrategy, lr.strategy),
 		)
 	}
 
@@ -1087,39 +1127,39 @@ func (e *Engine) execWait(ctx context.Context, idx int, job Job, queueWait time.
 	// strategy" falls straight out of a profile instead of requiring a
 	// bespoke experiment. Labels ride the goroutine, so the parallel
 	// lanes' phase workers inherit them too.
-	var final fsm.State
-	var err error
 	var specStats speculative.Stats
 	t0 := time.Now()
 	pprof.Do(ctx, pprof.Labels(
-		AttrMachine, name,
-		"strategy", res.Strategy,
-		AttrLane, res.Lane,
+		AttrMachine, m.name,
+		"strategy", lr.strategy,
+		AttrLane, lr.lane,
 	), func(ctx context.Context) {
-		switch res.Lane {
-		case LaneCluster:
+		switch {
+		case lr.lane == LaneCluster:
 			// The cluster lane is network-bound, not core-bound, so it
 			// bypasses the multicore fan-out gate.
 			var cstats cluster.ExecStats
-			final, cstats, err = co.Exec(ctx, m.plan, job.Input, start)
-			res.Degraded = cstats.Degraded
+			lr.final, cstats, lr.err = co.Exec(ctx, m.plan, job.Input, start)
+			lr.degraded = cstats.Degraded
 			if cstats.Degraded && sp != nil {
 				sp.SetAttrs(trace.Bool(cluster.AttrDegraded, true))
 			}
-		case LaneSpeculative:
-			final, specStats, err = m.spec.FinalCtx(ctx, job.Input, start)
+		case lr.lane == LaneSpeculative:
+			lr.final, specStats, lr.err = m.spec.RunChunkedCtx(ctx, job.Input, start, f)
+		case f == nil:
+			lr.final, lr.err = r.FinalCtx(ctx, job.Input, start)
 		default:
-			final, err = r.FinalCtx(ctx, job.Input, start)
+			lr.final, lr.err = r.RunChunkedCtx(ctx, job.Input, start, f)
 		}
 	})
-	res.Duration = time.Since(t0)
+	lr.duration = time.Since(t0)
 	// Exemplar: link this job's latency bucket to its trace, so the
 	// histogram panel joins to the flight recorder. Traced jobs only —
 	// an exemplar without a retrievable trace points nowhere.
 	if tm := e.tel; tm != nil && tr != nil {
-		tm.EngineJobExemplars.Observe(int64(res.Duration), tr.ID(), time.Now().UnixNano())
+		tm.EngineJobExemplars.Observe(int64(lr.duration), tr.ID(), time.Now().UnixNano())
 	}
-	if res.Lane == LaneSpeculative && specStats.Chunks > 0 {
+	if lr.lane == LaneSpeculative && specStats.Chunks > 0 {
 		m.rec.ObserveSpeculation(int64(specStats.Chunks), int64(specStats.Misspeculated), int64(specStats.ReRunBytes))
 		if tm := e.tel; tm != nil {
 			tm.SpecChunks.Add(int64(specStats.Chunks))
@@ -1130,13 +1170,10 @@ func (e *Engine) execWait(ctx context.Context, idx int, job Job, queueWait time.
 			sp.SetAttrs(trace.Bool(AttrMispredict, true))
 		}
 	}
-	if err != nil {
-		res.Err = err
-		return res
+	if lr.err != nil {
+		return lr
 	}
-	res.Final = final
-	res.Accepts = m.dfa.Accepting(final)
-	m.rec.ObserveFinal(int(final))
+	m.rec.ObserveFinal(int(lr.final))
 	// Large jobs advance the selection clock; every EvalEvery of them
 	// re-evaluates the lane choice against the updated profile.
 	if m.sel != nil && len(job.Input) >= e.largeInput {
@@ -1144,7 +1181,7 @@ func (e *Engine) execWait(ctx context.Context, idx int, job Job, queueWait time.
 			m.Reselect()
 		}
 	}
-	return res
+	return lr
 }
 
 // noteResult flushes one job's accounting into the shared sink.

@@ -2,10 +2,10 @@ package engine
 
 // Transduction through the engine: output-bearing machines register
 // like acceptors (same plan cache, same lane runners, same perf
-// profile) and Transduce dispatches over the same three-tier policy as
+// profile) and Transduce dispatches through the same Engine.run as
 // execWait — explicit strategy override, small-input single-core, and
 // large-input adaptive/static lane selection including the speculative
-// chunk-guessing lane. Every lane produces the exact sequential span
+// chunk-guessing lane, all under the job's context and timeout. Every lane produces the exact sequential span
 // list: the parallel lanes replay chunks from fold- or
 // verification-resolved start states (see internal/core/transduce.go).
 
@@ -13,13 +13,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/pprof"
-	"sync"
 	"time"
 
 	"dpfsm/internal/core"
 	"dpfsm/internal/fsm"
-	"dpfsm/internal/speculative"
 	"dpfsm/internal/trace"
 )
 
@@ -32,35 +29,6 @@ func (m *Machine) Transducer() *fsm.Transducer { return m.plan.Outputs() }
 
 // Kind classifies the machine: acceptor, moore, or mealy.
 func (m *Machine) Kind() fsm.Kind { return m.plan.Kind() }
-
-// altTransRunner is altRunner for the transduce path: the override
-// plan must carry the output table, so it compiles through
-// GetOrCompileTransducer (keyed over λ) rather than GetOrCompile.
-func (m *Machine) altTransRunner(s core.Strategy) (*core.Runner, error) {
-	t := m.Transducer()
-	if t == nil {
-		return nil, ErrNotTransducer
-	}
-	m.altMu.Lock()
-	defer m.altMu.Unlock()
-	if r, ok := m.altTrans[s]; ok {
-		return r, nil
-	}
-	p, _, err := m.eng.planCache.GetOrCompileTransducer(t, append(m.opts, core.WithStrategy(s))...)
-	if err != nil {
-		return nil, err
-	}
-	r, err := core.NewFromPlan(p, append(m.opts, core.WithStrategy(s),
-		core.WithProcs(1), core.WithTelemetry(m.eng.tel), core.WithAuxTelemetry(m.rec.Telemetry()))...)
-	if err != nil {
-		return nil, err
-	}
-	if m.altTrans == nil {
-		m.altTrans = make(map[core.Strategy]*core.Runner, 2)
-	}
-	m.altTrans[s] = r
-	return r, nil
-}
 
 // RegisterTransducer registers an output-bearing machine under name.
 // The compiled plan carries the λ table (its cache key covers λ, so
@@ -179,146 +147,22 @@ func (e *Engine) Transduce(ctx context.Context, job Job) (res TransduceResult) {
 		}
 		start = job.Start
 	}
-	if err := ctx.Err(); err != nil {
-		res.Err = err
+	// Same dispatch as execWait; the chosen runner already carries the
+	// output table because the machine's plan does.
+	spans := core.NewSpanCollector(t)
+	lr := e.run(ctx, sp, tr, m, job, start, spans.Chunk)
+	res.Lane, res.Strategy, res.Reason = lr.lane, lr.strategy, lr.reason
+	res.Multicore, res.Duration = lr.multicore, lr.duration
+	if res.Err = lr.err; res.Err != nil {
 		return res
 	}
-	if job.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, job.Timeout)
-		defer cancel()
-	}
-
-	// Same three dispatch tiers as execWait; the chosen runner already
-	// carries the output table because the machine's plan does.
-	r := m.single
-	res.Lane = LaneSingle
-	res.Strategy = m.plan.Strategy().String()
-	reason := fmt.Sprintf("input %d B < large-input threshold %d B", len(job.Input), e.largeInput)
-
-	if job.Strategy != core.Auto && job.Strategy != m.plan.Strategy() {
-		alt, err := m.altTransRunner(job.Strategy)
-		if err != nil {
-			res.Err = fmt.Errorf("engine: machine %q: strategy override %v: %w", name, job.Strategy, err)
-			return res
-		}
-		r = alt
-		res.Strategy = job.Strategy.String()
-		reason = fmt.Sprintf("explicit strategy override (%v); single-core lane", job.Strategy)
-	} else if len(job.Input) >= e.largeInput && e.procs > 1 {
-		if m.sel != nil {
-			res.Lane, reason = m.sel.LaneFor()
-		} else if m.multi != nil {
-			res.Lane = LaneMulticore
-			reason = fmt.Sprintf("input %d B >= large-input threshold %d B", len(job.Input), e.largeInput)
-		}
-	} else if m.multi == nil {
-		reason = "multicore lane disabled (procs=1)"
-	}
-
-	switch res.Lane {
-	case LaneMulticore, LaneSpeculative:
-		var gsp *trace.Span
-		if sp != nil {
-			gsp = sp.Child(SpanGate)
-		}
-		select {
-		case e.multiGate <- struct{}{}:
-			gsp.End()
-			defer func() { <-e.multiGate }()
-		case <-ctx.Done():
-			gsp.End()
-			res.Err = ctx.Err()
-			return res
-		}
-		if res.Lane == LaneMulticore {
-			r = m.multi
-			res.Multicore = true
-		}
-	}
-	res.Reason = reason
-	if sp != nil {
-		sp.SetAttrs(
-			trace.Str(AttrLane, res.Lane),
-			trace.Str(AttrLaneReason, reason),
-			trace.Str(AttrStrategy, res.Strategy),
-		)
-	}
-
-	var spans []core.Span
-	var final fsm.State
-	var err error
-	var specStats speculative.Stats
-	t0 := time.Now()
-	pprof.Do(ctx, pprof.Labels(
-		AttrMachine, name,
-		"strategy", res.Strategy,
-		AttrLane, res.Lane,
-	), func(ctx context.Context) {
-		if res.Lane == LaneSpeculative {
-			spans, final, specStats, err = specTransduce(ctx, m.spec, t, job.Input, start)
-		} else {
-			spans, final, err = r.TransduceSpans(job.Input, start)
-		}
-	})
-	res.Duration = time.Since(t0)
-	if tm := e.tel; tm != nil && tr != nil {
-		tm.EngineJobExemplars.Observe(int64(res.Duration), tr.ID(), time.Now().UnixNano())
-	}
-	if res.Lane == LaneSpeculative && specStats.Chunks > 0 {
-		m.rec.ObserveSpeculation(int64(specStats.Chunks), int64(specStats.Misspeculated), int64(specStats.ReRunBytes))
-		if tm := e.tel; tm != nil {
-			tm.SpecChunks.Add(int64(specStats.Chunks))
-			tm.SpecMispredicts.Add(int64(specStats.Misspeculated))
-			tm.SpecReRunBytes.Add(int64(specStats.ReRunBytes))
-		}
-		if specStats.Misspeculated > 0 && sp != nil {
-			sp.SetAttrs(trace.Bool(AttrMispredict, true))
-		}
-	}
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	res.Final = final
-	res.Accepts = m.dfa.Accepting(final)
-	res.Spans = spans
-	for _, s := range spans {
+	res.Final = lr.final
+	res.Accepts = m.dfa.Accepting(lr.final)
+	res.Spans = spans.Spans()
+	for _, s := range res.Spans {
 		res.OutputBytes += int64(s.End - s.Start)
 	}
-	m.rec.ObserveFinal(int(final))
-	if m.sel != nil && len(job.Input) >= e.largeInput {
-		if m.sel.NoteJob() {
-			m.Reselect()
-		}
-	}
 	return res
-}
-
-// specTransduce drives the speculative chunked decomposition with a
-// span-scanning replay: every chunk's phase-3 (or phase-2, for
-// mispredicted chunks) callback runs core.ScanSpans from its verified
-// start state, so the stitched result is the exact sequential span
-// list no matter how many guesses were wrong.
-func specTransduce(ctx context.Context, sr *speculative.Runner, t *fsm.Transducer, input []byte, start fsm.State) ([]core.Span, fsm.State, speculative.Stats, error) {
-	var (
-		mu    sync.Mutex
-		parts [][]core.Span
-	)
-	final, stats, err := sr.RunChunkedCtx(ctx, input, start,
-		func(off int, chunk []byte, st fsm.State) fsm.State {
-			spans, q := core.ScanSpans(t, off, chunk, st)
-			if len(spans) > 0 {
-				mu.Lock()
-				parts = append(parts, spans)
-				mu.Unlock()
-			}
-			return q
-		})
-	if err != nil {
-		return nil, final, stats, err
-	}
-	return core.StitchSpans(parts), final, stats, nil
 }
 
 // machineRecorderRef defers the perf-profile observation until the

@@ -5,9 +5,12 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"time"
 
+	"dpfsm/internal/adaptive"
 	"dpfsm/internal/core"
 	"dpfsm/internal/fsm"
+	"dpfsm/internal/perfprofile"
 	"dpfsm/internal/telemetry"
 )
 
@@ -87,7 +90,7 @@ func TestEngineTransduceAllLanes(t *testing.T) {
 		{Machine: "tok", Input: d.RandomInput(rng, 100)},                      // single lane
 		{Machine: "tok", Input: d.RandomInput(rng, 64<<10)},                   // multicore lane
 		{Machine: "tok", Input: d.RandomInput(rng, 200), Strategy: core.Base}, // override
-		{Machine: "tok", Input: nil}, // empty input
+		{Machine: "tok", Input: nil},                                          // empty input
 	}
 	for i, job := range jobs {
 		want, wantFinal := scalarSpans(tr, job.Input, d.Start())
@@ -121,7 +124,8 @@ func TestEngineTransduceAllLanes(t *testing.T) {
 
 // TestEngineTransduceSpeculativeLane drives the speculative chunked
 // replay directly (bypassing adaptive selection) via a machine whose
-// profile store is absent, by checking the spec path helper.
+// profile store is absent: the machine's speculative runner replays
+// through the same span collector the engine's lane uses.
 func TestEngineTransduceSpeculativeLane(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	d := fsm.RandomConverging(rng, 60, 8, 6, 0.3)
@@ -139,14 +143,62 @@ func TestEngineTransduceSpeculativeLane(t *testing.T) {
 	for _, n := range []int{0, 100, 8 << 10, 64 << 10} {
 		input := d.RandomInput(rng, n)
 		want, wantFinal := scalarSpans(tr, input, d.Start())
-		spans, final, _, err := specTransduce(context.Background(), m.spec, tr, input, d.Start())
+		c := core.NewSpanCollector(tr)
+		final, _, err := m.spec.RunChunkedCtx(context.Background(), input, d.Start(), c.Chunk)
 		if err != nil {
 			t.Fatal(err)
 		}
+		spans := c.Spans()
 		if final != wantFinal || !spansEqual(spans, want) {
 			t.Fatalf("n=%d: speculative transduce diverges (final %d want %d, %d spans want %d)",
 				n, final, wantFinal, len(spans), len(want))
 		}
+	}
+}
+
+// TestJobTimeoutEveryLane checks that Job.Timeout bounds a job on every
+// local lane, for both Run and Transduce: a 1 ms deadline on an 8 MiB
+// input must come back as context.DeadlineExceeded, not as a finished
+// answer.
+func TestJobTimeoutEveryLane(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	d := fsm.RandomConverging(rng, 60, 8, 6, 0.3)
+	tr := testTransducer(t, d)
+	input := d.RandomInput(rng, 8<<20)
+	for _, lane := range []string{LaneSingle, LaneMulticore, LaneSpeculative} {
+		t.Run(lane, func(t *testing.T) {
+			opts := []Option{WithWorkers(4), WithProcs(4), WithLargeInput(4096)}
+			switch lane {
+			case LaneSingle:
+				opts = append(opts, WithLargeInput(len(input)+1))
+			case LaneSpeculative:
+				opts = append(opts, WithPerfProfiles(perfprofile.NewStore("")))
+			}
+			e := New(opts...)
+			defer e.Close()
+			m, err := e.RegisterTransducer("tok", tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lane == LaneSpeculative {
+				rec := m.Recorder()
+				for i := 0; i < adaptive.MinSamples; i++ {
+					rec.ObserveJob(perfprofile.LaneSpeculative, 1<<20, time.Millisecond, 0, false)
+				}
+				if sel := m.Reselect(); sel.Lane != adaptive.LaneSpeculative {
+					t.Fatalf("could not force the speculative lane: %+v", sel)
+				}
+			}
+			job := Job{Machine: "tok", Input: input, Timeout: time.Millisecond}
+			res := e.Transduce(context.Background(), job)
+			if res.Lane != lane || !errors.Is(res.Err, context.DeadlineExceeded) {
+				t.Errorf("Transduce: lane %q err %v, want %q and DeadlineExceeded", res.Lane, res.Err, lane)
+			}
+			rr := e.Run(context.Background(), job)
+			if rr.Lane != lane || !errors.Is(rr.Err, context.DeadlineExceeded) {
+				t.Errorf("Run: lane %q err %v, want %q and DeadlineExceeded", rr.Lane, rr.Err, lane)
+			}
+		})
 	}
 }
 

@@ -17,10 +17,14 @@
 //  2. even when speculation succeeds, per-chunk work is the plain
 //     sequential loop, so a single core gains nothing.
 //
-// Originally a benchmark-only baseline, the Runner now also backs the
-// engine's speculative dispatch lane: the engine updates the guess
-// live from the machine's hot-state profile (SetGuess), bounds chunk
-// sizes (SetMinChunk), and runs under a cancelable context (FinalCtx).
+// The schedule itself is core's chunk executor with its speculative
+// summarize back-end (core.Runner.Speculate): chunk 0 runs from the
+// true start, chunks 1..P-1 walk from the guess with the scalar table,
+// and resolution re-runs every chunk whose guess was wrong. This
+// package owns only the guessing policy and the statistics. It backs
+// the engine's speculative dispatch lane: the engine updates the guess
+// live from the machine's hot-state profile (SetGuess) and runs under a
+// cancelable context (FinalCtx).
 // Verification is exact either way, so results always match the
 // sequential run.
 //
@@ -32,9 +36,9 @@ package speculative
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 
+	"dpfsm/internal/core"
 	"dpfsm/internal/fsm"
 )
 
@@ -45,28 +49,20 @@ type Stats struct {
 	ReRunBytes    int // bytes processed a second time
 }
 
-// cancelBlock is how many bytes a chunk runs between context checks
-// under FinalCtx: large enough that the check is noise against the
-// per-byte table walk, small enough that cancellation lands promptly.
-const cancelBlock = 64 << 10
-
 // Runner executes a machine speculatively across chunks. The guess is
 // atomic, so a live profiler may retarget it while jobs are running.
 type Runner struct {
-	d        *fsm.DFA
-	procs    int
-	guess    atomic.Int64
-	minChunk int
+	r     *core.Runner
+	guess atomic.Int64
 }
 
-// New builds a speculative runner. warmup bytes of representative
-// input seed the guess (the state most often occupied); an empty
-// warmup guesses the start state.
-func New(d *fsm.DFA, procs int, warmup []byte) *Runner {
-	if procs < 1 {
-		procs = 1
-	}
-	r := &Runner{d: d, procs: procs, minChunk: 1}
+// New builds a speculative runner over r, which supplies the machine,
+// the chunk count (its procs), the split floor and the telemetry sink.
+// warmup bytes of representative input seed the guess (the state most
+// often occupied); an empty warmup guesses the start state.
+func New(r *core.Runner, warmup []byte) *Runner {
+	d := r.Machine()
+	sr := &Runner{r: r}
 	guess := d.Start()
 	if len(warmup) > 0 {
 		counts := make([]int, d.NumStates())
@@ -83,8 +79,8 @@ func New(d *fsm.DFA, procs int, warmup []byte) *Runner {
 		}
 		guess = fsm.State(best)
 	}
-	r.guess.Store(int64(guess))
-	return r
+	sr.guess.Store(int64(guess))
+	return sr
 }
 
 // Guess reports the state the runner currently speculates chunks
@@ -93,195 +89,33 @@ func (r *Runner) Guess() fsm.State { return fsm.State(r.guess.Load()) }
 
 // SetGuess retargets the speculated start state. Safe to call while
 // runs are in flight: each run snapshots the guess once at entry, so
-// its phase-2 verification always checks the same state phase 1 ran
-// from.
+// its verification always checks the same state its chunks ran from.
 func (r *Runner) SetGuess(s fsm.State) { r.guess.Store(int64(s)) }
-
-// SetMinChunk sets the smallest chunk worth fanning out: inputs that
-// would split below n bytes per chunk run sequentially instead.
-// Values below 1 are treated as 1.
-func (r *Runner) SetMinChunk(n int) {
-	if n < 1 {
-		n = 1
-	}
-	r.minChunk = n
-}
 
 // Final runs the machine from start over input, speculating chunk
 // start states, and returns the exact final state plus speculation
 // statistics.
 func (r *Runner) Final(input []byte, start fsm.State) (fsm.State, Stats) {
-	st, stats, _ := r.FinalCtx(context.Background(), input, start)
+	st, stats, _ := r.RunChunkedCtx(context.Background(), input, start, nil)
 	return st, stats
 }
 
-// FinalCtx is Final under a context: chunks poll ctx between
-// cancelBlock-sized blocks, and a canceled run returns ctx's error
-// with an undefined state. The error is nil whenever ctx never
-// expires, so Final can discard it.
+// FinalCtx is Final under a context: a canceled run returns ctx's
+// error with an undefined state.
 func (r *Runner) FinalCtx(ctx context.Context, input []byte, start fsm.State) (fsm.State, Stats, error) {
-	guess := r.Guess()
-	p := r.procs
-	if p == 1 || len(input) < 2*p || len(input)/p < r.minChunk {
-		st, err := r.runCtx(ctx, input, start)
-		return st, Stats{Chunks: 1}, err
-	}
-	chunks := make([][2]int, p)
-	for i := 0; i < p; i++ {
-		chunks[i] = [2]int{i * len(input) / p, (i + 1) * len(input) / p}
-	}
-
-	// Phase 1: chunk 0 runs from the true start; all others run from
-	// the guess, in parallel.
-	ends := make([]fsm.State, p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	for i := 0; i < p; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			st := guess
-			if i == 0 {
-				st = start
-			}
-			ends[i], errs[i] = r.runCtx(ctx, input[chunks[i][0]:chunks[i][1]], st)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return start, Stats{Chunks: p}, err
-		}
-	}
-
-	// Phase 2: verify left to right; a wrong guess forces a sequential
-	// re-run of that chunk from the corrected state, which can cascade
-	// into the next chunk.
-	stats := Stats{Chunks: p}
-	st := ends[0]
-	for i := 1; i < p; i++ {
-		if st == guess {
-			st = ends[i] // speculation hit
-			continue
-		}
-		stats.Misspeculated++
-		stats.ReRunBytes += chunks[i][1] - chunks[i][0]
-		var err error
-		st, err = r.runCtx(ctx, input[chunks[i][0]:chunks[i][1]], st)
-		if err != nil {
-			return start, stats, err
-		}
-	}
-	return st, stats, nil
+	return r.RunChunkedCtx(ctx, input, start, nil)
 }
 
-// ChunkFunc processes one input chunk from its verified start state
-// and returns the state after the chunk, mirroring core.ChunkFunc. off
-// is the global offset of chunk[0].
-type ChunkFunc func(off int, chunk []byte, start fsm.State) fsm.State
-
-// RunChunkedCtx is the speculative analogue of core's RunChunked: a
-// caller-supplied phase 3 over chunks whose start states have been
-// resolved by speculation *and verified*, so f only ever observes true
-// start states and the result is exact regardless of guess quality.
-// Chunk 0 needs no speculation — f runs it directly from start,
-// concurrently with the guessed walks of chunks 1..P-1. Verification
-// then recovers every chunk's true start left to right; a chunk whose
-// guess held is replayed by f in parallel afterwards, while a
-// misspeculated chunk is re-run through f immediately during
-// verification (the corrected state is in hand, and that replay *is*
-// the authoritative one — no third pass). f must be safe for
-// concurrent calls on distinct chunks.
-func (r *Runner) RunChunkedCtx(ctx context.Context, input []byte, start fsm.State, f ChunkFunc) (fsm.State, Stats, error) {
-	if len(input) == 0 {
-		return start, Stats{Chunks: 1}, nil
-	}
-	guess := r.Guess()
-	p := r.procs
-	if p == 1 || len(input) < 2*p || len(input)/p < r.minChunk {
-		return f(0, input, start), Stats{Chunks: 1}, nil
-	}
-	chunks := make([][2]int, p)
-	for i := 0; i < p; i++ {
-		chunks[i] = [2]int{i * len(input) / p, (i + 1) * len(input) / p}
-	}
-
-	// Phase 1: chunk 0 replays through f from the true start (nothing
-	// about it is speculative); all others walk from the guess.
-	ends := make([]fsm.State, p)
-	errs := make([]error, p)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		ends[0] = f(0, input[chunks[0][0]:chunks[0][1]], start)
-	}()
-	for i := 1; i < p; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ends[i], errs[i] = r.runCtx(ctx, input[chunks[i][0]:chunks[i][1]], guess)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return start, Stats{Chunks: p}, err
-		}
-	}
-
-	// Phase 2: verify left to right. A hit defers the chunk's replay to
-	// the parallel phase 3; a miss replays through f right here, from
-	// the corrected state.
-	stats := Stats{Chunks: p}
-	starts := make([]fsm.State, p)
-	replayed := make([]bool, p)
-	st := ends[0]
-	for i := 1; i < p; i++ {
-		starts[i] = st
-		if st == guess {
-			st = ends[i]
-			continue
-		}
-		stats.Misspeculated++
-		stats.ReRunBytes += chunks[i][1] - chunks[i][0]
-		st = f(chunks[i][0], input[chunks[i][0]:chunks[i][1]], starts[i])
-		replayed[i] = true
-	}
-
-	// Phase 3: replay the verified hits in parallel.
-	for i := 1; i < p; i++ {
-		if replayed[i] {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			f(chunks[i][0], input[chunks[i][0]:chunks[i][1]], starts[i])
-		}(i)
-	}
-	wg.Wait()
-	return st, stats, nil
-}
-
-// runCtx is the sequential table walk with cooperative cancellation.
-// A context that can never be canceled takes the unchecked fast path.
-func (r *Runner) runCtx(ctx context.Context, input []byte, st fsm.State) (fsm.State, error) {
-	if ctx == nil || ctx.Done() == nil {
-		return r.d.Run(input, st), nil
-	}
-	for len(input) > 0 {
-		if err := ctx.Err(); err != nil {
-			return st, err
-		}
-		n := len(input)
-		if n > cancelBlock {
-			n = cancelBlock
-		}
-		st = r.d.Run(input[:n], st)
-		input = input[n:]
-	}
-	return st, ctx.Err()
+// RunChunkedCtx is the speculative analogue of core's RunChunkedCtx: f
+// replays every chunk from its verified start state, so the result is
+// exact regardless of guess quality. A misspeculated chunk is replayed
+// through f during verification (the corrected state is in hand, and
+// that replay is the authoritative one), the verified hits in parallel
+// afterwards. f nil makes it FinalCtx. f must be safe for concurrent
+// calls on distinct chunks.
+func (r *Runner) RunChunkedCtx(ctx context.Context, input []byte, start fsm.State, f core.ChunkFunc) (fsm.State, Stats, error) {
+	st, cs, err := r.r.Speculate(ctx, input, start, r.Guess(), f)
+	return st, Stats{Chunks: cs.Chunks, Misspeculated: cs.Misses, ReRunBytes: cs.ReRunBytes}, err
 }
 
 // HitRate reports the fraction of speculated chunks whose guess held.

@@ -5,8 +5,21 @@ import (
 	"math/rand"
 	"testing"
 
+	"dpfsm/internal/core"
 	"dpfsm/internal/fsm"
 )
+
+// newRunner builds a speculative runner over a Sequential core runner
+// with procs chunks and a 64-byte split floor, small enough that most
+// test inputs fan out.
+func newRunner(t *testing.T, d *fsm.DFA, procs int, warmup []byte) *Runner {
+	t.Helper()
+	r, err := core.New(d, core.WithStrategy(core.Sequential), core.WithProcs(procs), core.WithMinChunk(64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(r, warmup)
+}
 
 func TestFinalAlwaysExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(190))
@@ -15,7 +28,7 @@ func TestFinalAlwaysExact(t *testing.T) {
 		in := d.RandomInput(rng, 100+rng.Intn(4000))
 		warm := d.RandomInput(rng, 200)
 		for _, procs := range []int{1, 2, 4, 8} {
-			r := New(d, procs, warm)
+			r := newRunner(t, d, procs, warm)
 			got, stats := r.Final(in, d.Start())
 			if want := d.Run(in, d.Start()); got != want {
 				t.Fatalf("iter %d procs %d: %d want %d", iter, procs, got, want)
@@ -35,7 +48,7 @@ func TestSpeculationHitsOnConvergingMachine(t *testing.T) {
 	d.SetColumn(1, []fsm.State{3, 3, 3, 3})
 	rng := rand.New(rand.NewSource(191))
 	in := d.RandomInput(rng, 20000)
-	r := New(d, 8, in[:500])
+	r := newRunner(t, d, 8, in[:500])
 	if r.Guess() != 3 {
 		t.Fatalf("warmup should guess the absorbing state, got %d", r.Guess())
 	}
@@ -51,7 +64,7 @@ func TestSpeculationCascadesOnPermutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(192))
 	d := fsm.RandomPermutation(rng, 16, 4, 0.3)
 	in := d.RandomInput(rng, 40000)
-	r := New(d, 8, in[:500])
+	r := newRunner(t, d, 8, in[:500])
 	_, stats := r.Final(in, d.Start())
 	if stats.HitRate() > 0.5 {
 		t.Errorf("hit rate %.2f on a permutation machine; expected mostly misses", stats.HitRate())
@@ -63,7 +76,7 @@ func TestSpeculationCascadesOnPermutation(t *testing.T) {
 
 func TestTinyInputFallsBack(t *testing.T) {
 	d := fsm.MustNew(2, 2)
-	r := New(d, 8, nil)
+	r := newRunner(t, d, 8, nil)
 	_, stats := r.Final([]byte{0, 1, 0}, 0)
 	if stats.Chunks != 1 {
 		t.Errorf("tiny input should run in one chunk, got %d", stats.Chunks)
@@ -83,7 +96,7 @@ func TestHitRateEdge(t *testing.T) {
 func TestEmptyWarmupGuessesStart(t *testing.T) {
 	d := fsm.MustNew(3, 2)
 	d.SetStart(2)
-	r := New(d, 4, nil)
+	r := newRunner(t, d, 4, nil)
 	if r.Guess() != 2 {
 		t.Errorf("guess = %d, want start state", r.Guess())
 	}
@@ -99,7 +112,7 @@ func TestSetGuessRetargetsSpeculation(t *testing.T) {
 	rng := rand.New(rand.NewSource(193))
 	in := d.RandomInput(rng, 20000)
 
-	r := New(d, 8, nil)
+	r := newRunner(t, d, 8, nil)
 	r.SetGuess(0) // state 0 is never revisited → forced mispredicts
 	got, stats := r.Final(in, d.Start())
 	if want := d.Run(in, d.Start()); got != want {
@@ -117,20 +130,28 @@ func TestSetGuessRetargetsSpeculation(t *testing.T) {
 	}
 }
 
-func TestSetMinChunkForcesSequential(t *testing.T) {
+// TestMinChunkForcesSequential checks the split rule the runner
+// shares with core: an input too short for two chunks of the core
+// runner's floor runs in one chunk, and a longer one splits into fewer
+// chunks than procs rather than falling back to one.
+func TestMinChunkForcesSequential(t *testing.T) {
 	d := fsm.MustNew(4, 2)
 	d.SetColumn(0, []fsm.State{1, 2, 3, 3})
 	d.SetColumn(1, []fsm.State{3, 3, 3, 3})
 	rng := rand.New(rand.NewSource(194))
 	in := d.RandomInput(rng, 1000)
-	r := New(d, 8, nil)
-	r.SetMinChunk(4096) // 1000 B / 8 procs is far below the floor
-	if _, stats := r.Final(in, d.Start()); stats.Chunks != 1 {
-		t.Errorf("sub-minChunk input split into %d chunks", stats.Chunks)
-	}
-	r.SetMinChunk(0) // clamps to 1, restoring the fan-out
-	if _, stats := r.Final(in, d.Start()); stats.Chunks != 8 {
-		t.Errorf("chunks = %d after resetting minChunk, want 8", stats.Chunks)
+	for _, tc := range []struct{ minChunk, want int }{{4096, 1}, {300, 3}, {1, 8}} {
+		cr, err := core.New(d, core.WithStrategy(core.Sequential), core.WithProcs(8), core.WithMinChunk(tc.minChunk))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, stats := New(cr, nil).Final(in, d.Start())
+		if stats.Chunks != tc.want {
+			t.Errorf("minChunk %d: %d chunks, want %d", tc.minChunk, stats.Chunks, tc.want)
+		}
+		if want := d.Run(in, d.Start()); got != want {
+			t.Errorf("minChunk %d: final %d, want %d", tc.minChunk, got, want)
+		}
 	}
 }
 
@@ -138,7 +159,7 @@ func TestFinalCtxMatchesFinalAndCancels(t *testing.T) {
 	rng := rand.New(rand.NewSource(195))
 	d := fsm.Random(rng, 12, 3, 0.3)
 	in := d.RandomInput(rng, 30000)
-	r := New(d, 4, in[:500])
+	r := newRunner(t, d, 4, in[:500])
 
 	st, stats, err := r.FinalCtx(context.Background(), in, d.Start())
 	if err != nil {
